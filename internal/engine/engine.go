@@ -148,13 +148,17 @@ type Config struct {
 	// Lemma 5.1–5.3 bounds.
 	TilesPerSide int
 	// AsyncPrefetch makes sessions compute prefetch bounds in a
-	// background goroutine launched after each navigation response,
-	// cancelled and superseded the moment the user navigates again.
-	// Selections are identical either way — prefetched bounds only seed
-	// the lazy heap with upper bounds that are re-evaluated exactly
-	// before being trusted — so the knob trades goroutines for
-	// response-path latency only. Off, prefetching happens only through
-	// explicit synchronous Prefetch calls, exactly as before.
+	// background goroutine launched after each navigation that ran the
+	// greedy, cancelled and superseded the moment the user navigates
+	// again. A navigation the tile cache served warm spawns none — no
+	// greedy would read its bounds — until the cache declines one. Each
+	// pass costs O(|envelope|²) metric calls and O(|envelope|) memory,
+	// with no term in the collection size. Selections are identical
+	// either way — prefetched bounds only seed the lazy heap with upper
+	// bounds that are re-evaluated exactly before being trusted — so the
+	// knob trades goroutines for response-path latency only. Off,
+	// prefetching happens only through explicit synchronous Prefetch
+	// calls.
 	AsyncPrefetch bool
 
 	// IngestBatch is the auto-flush threshold of the live-ingest queue

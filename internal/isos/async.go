@@ -1,10 +1,14 @@
 // Background prefetching (Config.AsyncPrefetch): the paper's Section 5
 // premise is that bounds are computed "while the user inspects the
 // current viewport", i.e. concurrently with user think time rather than
-// inside the navigation call. After every successful navigation the
-// session launches one goroutine computing the Lemma 5.1–5.3 bounds for
-// all three next operations; the next navigation joins it — adopting
-// the finished result or cancelling and discarding an unfinished one.
+// inside the navigation call. After every successful navigation that
+// ran the greedy, the session launches one goroutine computing the
+// Lemma 5.1–5.3 bounds for all three next operations; the next
+// navigation joins it — adopting the finished result or cancelling and
+// discarding an unfinished one. A navigation the Warmer (tile cache)
+// served spawns nothing: no greedy will read bounds until the Warmer
+// declines. Each pass costs O(|envelope|²) metric calls and
+// O(|envelope|) memory, with no term in the collection size.
 //
 // The join protocol keeps the session's single-owner model intact:
 //
@@ -51,11 +55,15 @@ type prefetchJob struct {
 }
 
 // spawnPrefetch launches the background bound computation for the
-// current viewport. No-op unless Config.AsyncPrefetch is set. Callers
-// must have joined any previous job first (navigation always does, via
+// current viewport after the navigation that produced sel. No-op unless
+// Config.AsyncPrefetch is set, and after a warm navigation: the bounds
+// only ever seed a greedy run, and a session the Warmer serves runs
+// none until the Warmer declines — that navigation runs with exact
+// initialization, and prefetching resumes after it. Callers must have
+// joined any previous job first (navigation always does, via
 // joinPrefetch at entry).
-func (s *Session) spawnPrefetch() {
-	if !s.cfg.AsyncPrefetch {
+func (s *Session) spawnPrefetch(sel *Selection) {
+	if !s.cfg.AsyncPrefetch || sel.Warm {
 		return
 	}
 	ctx, cancel := context.WithCancel(s.base)

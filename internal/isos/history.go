@@ -37,7 +37,7 @@ func (s *Session) Back() (*Selection, error) {
 		return nil, err
 	}
 	if len(s.history) == 0 {
-		return nil, fmt.Errorf("isos: no history to go back to")
+		return nil, fmt.Errorf("%w: no history to go back to", ErrInvalidNavigation)
 	}
 	// Any background bounds were computed for the viewport being
 	// abandoned: join (cancelling if unfinished) and drop them, then
@@ -48,9 +48,10 @@ func (s *Session) Back() (*Selection, error) {
 	s.viewport = last.viewport
 	s.visible = append([]int(nil), last.visible...)
 	s.prefetch = nil
-	s.spawnPrefetch()
-	return &Selection{
+	sel := &Selection{
 		Positions:     append([]int(nil), last.visible...),
 		RegionObjects: len(s.regionObjects(last.viewport.Region)),
-	}, nil
+	}
+	s.spawnPrefetch(sel)
+	return sel, nil
 }

@@ -2,6 +2,7 @@ package isos
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -29,8 +30,9 @@ import (
 //     always prune exactly, regardless of this knob, so the Lemma
 //     5.1–5.3 domination contract is never eps-weakened.
 //   - AsyncPrefetch launches the background prefetch goroutine after
-//     every navigation (see Prefetch for the sync API and async.go for
-//     the join protocol).
+//     every navigation that ran the greedy; a navigation the Warmer
+//     served spawns none (see Prefetch for the sync API and async.go
+//     for the join protocol).
 type Config struct {
 	engine.Config
 
@@ -47,6 +49,12 @@ type Config struct {
 	// serving.
 	Warmer Warmer
 }
+
+// ErrInvalidNavigation marks a request the session's state rejects: an
+// operation before Start, a degenerate start region, or a zoom or pan
+// target the current viewport does not admit. It is the caller's error,
+// never the session's; match it with errors.Is.
+var ErrInvalidNavigation = errors.New("isos: invalid navigation")
 
 // Selection reports one selection round in a session.
 type Selection struct {
@@ -208,7 +216,7 @@ func (s *Session) theta(region geo.Rect) float64 {
 // session keeps its previous state and stays usable.
 func (s *Session) Start(ctx context.Context, region geo.Rect) (*Selection, error) {
 	if !region.Valid() || region.Width() <= 0 || region.Height() <= 0 {
-		return nil, fmt.Errorf("isos: invalid start region %v", region)
+		return nil, fmt.Errorf("%w: start region %v is degenerate", ErrInvalidNavigation, region)
 	}
 	s.repin()
 	s.joinPrefetch()
@@ -227,7 +235,7 @@ func (s *Session) Start(ctx context.Context, region geo.Rect) (*Selection, error
 	s.started = true
 	s.prefetch = nil
 	s.history = nil
-	s.spawnPrefetch()
+	s.spawnPrefetch(sel)
 	return sel, nil
 }
 
@@ -241,7 +249,7 @@ func (s *Session) ZoomIn(ctx context.Context, inner geo.Rect) (*Selection, error
 	}
 	nv, err := s.viewport.ZoomIn(inner)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %v", ErrInvalidNavigation, err)
 	}
 	s.repin()
 	s.joinPrefetch()
@@ -261,7 +269,7 @@ func (s *Session) ZoomIn(ctx context.Context, inner geo.Rect) (*Selection, error
 	s.trimHistory()
 	s.viewport = nv
 	s.prefetch = nil
-	s.spawnPrefetch()
+	s.spawnPrefetch(sel)
 	return sel, nil
 }
 
@@ -275,7 +283,7 @@ func (s *Session) ZoomOut(ctx context.Context, outer geo.Rect) (*Selection, erro
 	old := s.viewport.Region
 	nv, err := s.viewport.ZoomOut(outer)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %v", ErrInvalidNavigation, err)
 	}
 	s.repin()
 	s.joinPrefetch()
@@ -295,7 +303,7 @@ func (s *Session) ZoomOut(ctx context.Context, outer geo.Rect) (*Selection, erro
 	s.trimHistory()
 	s.viewport = nv
 	s.prefetch = nil
-	s.spawnPrefetch()
+	s.spawnPrefetch(sel)
 	return sel, nil
 }
 
@@ -309,7 +317,7 @@ func (s *Session) Pan(ctx context.Context, delta geo.Point) (*Selection, error) 
 	old := s.viewport.Region
 	nv, err := s.viewport.Pan(delta)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %v", ErrInvalidNavigation, err)
 	}
 	s.repin()
 	s.joinPrefetch()
@@ -329,7 +337,7 @@ func (s *Session) Pan(ctx context.Context, delta geo.Point) (*Selection, error) 
 	s.trimHistory()
 	s.viewport = nv
 	s.prefetch = nil
-	s.spawnPrefetch()
+	s.spawnPrefetch(sel)
 	return sel, nil
 }
 
@@ -346,7 +354,7 @@ func (s *Session) assertTransition(op geo.Op, oldRegion, newRegion geo.Rect, old
 
 func (s *Session) requireStarted() error {
 	if !s.started {
-		return fmt.Errorf("isos: session not started; call Start first")
+		return fmt.Errorf("%w: session not started; call Start first", ErrInvalidNavigation)
 	}
 	return nil
 }

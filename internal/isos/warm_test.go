@@ -6,6 +6,7 @@ package isos
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"geosel/internal/core"
@@ -119,5 +120,108 @@ func TestSessionWarmDeclineFallsThrough(t *testing.T) {
 	}
 	if !core.SatisfiesVisibility(store.Collection().Objects, sel.Positions, s.theta(region)) {
 		t.Fatal("fallthrough selection violates θ-separation")
+	}
+}
+
+// switchWarmer forwards to a tile cache unless decline is set, so a
+// test chooses which navigations take the greedy path.
+type switchWarmer struct {
+	cache   *tilecache.Cache
+	decline bool
+}
+
+func (w *switchWarmer) WarmNavigate(ctx context.Context, view geodata.View, version uint64, region geo.Rect, k int, theta float64, forced, candidates []int) ([]int, float64, int, bool) {
+	if w.decline {
+		return nil, 0, 0, false
+	}
+	return w.cache.WarmNavigate(ctx, view, version, region, k, theta, forced, candidates)
+}
+
+// TestSessionWarmSkipsAsyncPrefetch pins when a tile-cache-backed
+// session prefetches in the background: a warm navigation leaves no
+// job (no greedy would read its bounds), a navigation the warmer
+// declines runs the greedy and spawns one, and the walk selects exactly
+// the positions of the same walk with AsyncPrefetch off.
+func TestSessionWarmSkipsAsyncPrefetch(t *testing.T) {
+	store := testStore(t, 4000, 9)
+	newSession := func(async bool) (*Session, *switchWarmer) {
+		cfg := testConfig(t)
+		cfg.ThetaFrac = 0.003
+		cfg.AsyncPrefetch = async
+		cache, err := tilecache.New(cfg.Config)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := &switchWarmer{cache: cache}
+		cfg.Warmer = w
+		s, err := NewSession(store, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Close)
+		return s, w
+	}
+	on, onWarmer := newSession(true)
+	off, offWarmer := newSession(false)
+	ctx := context.Background()
+
+	region := geo.RectAround(geo.Pt(0.5, 0.5), 0.15)
+	inner := geo.RectAround(geo.Pt(0.5, 0.5), 0.08)
+	type step struct {
+		decline bool
+		nav     func(s *Session) (*Selection, error)
+	}
+	start := func(s *Session) (*Selection, error) { return s.Start(ctx, region) }
+	zoomIn := func(s *Session) (*Selection, error) { return s.ZoomIn(ctx, inner) }
+	zoomOut := func(s *Session) (*Selection, error) { return s.ZoomOut(ctx, region) }
+	pan := func(s *Session) (*Selection, error) { return s.Pan(ctx, geo.Pt(0.02, -0.01)) }
+	// The first pass fills the caches; the rest alternate warm serves
+	// with declined, greedy ones, including two declined steps in a row
+	// so a greedy run adopts finished background bounds.
+	walk := []step{
+		{false, start}, {false, zoomIn}, {false, zoomOut},
+		{false, start}, {false, zoomIn}, {true, zoomOut}, {true, zoomIn},
+		{false, zoomOut}, {true, pan}, {false, start}, {false, zoomIn},
+	}
+	var warm, declined, prefetched int
+	for i, st := range walk {
+		onWarmer.decline, offWarmer.decline = st.decline, st.decline
+		got, err := st.nav(on)
+		if err != nil {
+			t.Fatalf("step %d (AsyncPrefetch on): %v", i, err)
+		}
+		want, err := st.nav(off)
+		if err != nil {
+			t.Fatalf("step %d (AsyncPrefetch off): %v", i, err)
+		}
+		if fmt.Sprint(got.Positions) != fmt.Sprint(want.Positions) {
+			t.Fatalf("step %d: positions %v with AsyncPrefetch, %v without", i, got.Positions, want.Positions)
+		}
+		if got.Warm != want.Warm {
+			t.Fatalf("step %d: warm %v with AsyncPrefetch, %v without", i, got.Warm, want.Warm)
+		}
+		switch {
+		case got.Warm:
+			warm++
+			if on.job != nil {
+				t.Fatalf("step %d: warm navigation left a background prefetch job", i)
+			}
+		default:
+			if st.decline {
+				declined++
+			}
+			if got.Prefetched {
+				prefetched++
+			}
+			if on.job == nil {
+				t.Fatalf("step %d: greedy navigation spawned no background prefetch job", i)
+			}
+			// Let the job finish so the next greedy run adopts its
+			// bounds deterministically.
+			<-on.job.done
+		}
+	}
+	if warm == 0 || declined == 0 || prefetched == 0 {
+		t.Fatalf("walk exercised %d warm, %d declined and %d prefetched navigations; want each > 0", warm, declined, prefetched)
 	}
 }

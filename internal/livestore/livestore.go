@@ -197,7 +197,7 @@ func (s *Store) Apply(ctx context.Context, muts []Mutation) (uint64, Outcome, er
 func (s *Store) applyLocked(ctx context.Context, muts []Mutation) (uint64, Outcome, error) {
 	cur := s.cur.Load()
 	for i, m := range muts {
-		if err := m.validate(); err != nil {
+		if err := m.Validate(); err != nil {
 			return cur.version, Outcome{}, fmt.Errorf("mutation %d: %w", i, err)
 		}
 	}
@@ -391,7 +391,7 @@ func appendDirtyEpoch(hist []epochDirty, version uint64, cells []geo.Rect) []epo
 func (s *Store) Enqueue(ctx context.Context, m Mutation) (uint64, bool, Outcome, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := m.validate(); err != nil {
+	if err := m.Validate(); err != nil {
 		return s.cur.Load().version, false, Outcome{}, err
 	}
 	s.pending = append(s.pending, m)

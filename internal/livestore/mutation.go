@@ -62,9 +62,10 @@ type Mutation struct {
 	Text   string
 }
 
-// validate checks one mutation against the geodata value contract
-// (weights in [0, 1], finite locations) before anything is committed.
-func (m Mutation) validate() error {
+// Validate checks one mutation against the geodata value contract
+// (weights in [0, 1], finite locations); Apply runs it on every
+// mutation before anything is committed.
+func (m Mutation) Validate() error {
 	switch m.Op {
 	case OpDelete:
 		return nil

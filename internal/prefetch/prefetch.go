@@ -37,29 +37,34 @@ import (
 // marginal gain in any region whose objects are a subset of the
 // envelope. This is Lemma 5.1 with the envelope = current region Op
 // (zoom-in) and Lemma 5.2 with the envelope = union of all possible
-// zoom-out regions OA. Cost: O(|envelope|²) metric calls, paid while
+// zoom-out regions OA. Cost: O(|envelope|²) metric calls and
+// O(|envelope|) memory, with no term in the collection size, paid while
 // the user is idle; rows are computed on workers goroutines (0 = all
 // CPUs, 1 = serial). A cancelled ctx aborts between rows and returns
 // ctx.Err().
 func PairwiseBounds(ctx context.Context, col *geodata.Collection, envelopePos []int, m sim.Metric, workers int) (map[int]float64, error) {
-	sums := make([]float64, len(envelopePos))
-	objs := col.Objects
+	// The pass works on the envelope's own objects, indexed locally:
+	// its allocations and kernel columns are O(|envelope|), independent
+	// of the collection size. Local index j stands for envelopePos[j],
+	// so every row adds the same terms in the same order as a kernel
+	// over the whole collection would.
+	env := col.Subset(envelopePos)
+	sums := make([]float64, len(env))
 	// One kernel compilation per pass (bitwise-identical to m.Sim by
 	// the CompileKernel contract) instead of one interface dispatch per
 	// pair — the same treatment the greedy core gives its hot loops.
-	kern, _ := sim.CompileKernel(m, objs)
+	kern, _ := sim.CompileKernel(m, env)
 	pool := parallel.New(workers)
 	defer pool.Close()
-	pruned, err := pairwiseBoundsPruned(ctx, objs, envelopePos, m, kern, pool, sums)
+	pruned, err := pairwiseBoundsPruned(ctx, env, m, kern, pool, sums)
 	if err != nil {
 		return nil, err
 	}
 	if !pruned {
-		err := pool.Run(ctx, len(envelopePos), func(i int) { //geolint:hotpath
+		err := pool.Run(ctx, len(env), func(i int) { //geolint:hotpath
 			var sum float64
-			p := envelopePos[i]
-			for _, q := range envelopePos {
-				sum += objs[q].Weight * kern(p, q)
+			for j := range env {
+				sum += env[j].Weight * kern(i, j)
 			}
 			sums[i] = sum
 		})
@@ -68,7 +73,7 @@ func PairwiseBounds(ctx context.Context, col *geodata.Collection, envelopePos []
 		}
 	}
 	if invariant.Enabled {
-		assertEnvelopeBounds(objs, envelopePos, m, sums, "prefetch: pairwise envelope bound")
+		assertEnvelopeBounds(env, m, sums, "prefetch: pairwise envelope bound")
 	}
 	out := make(map[int]float64, len(envelopePos))
 	for i, p := range envelopePos {
@@ -91,17 +96,17 @@ const pruneCutoff = 512
 // exactly zero — and the bounds come out bitwise identical. Reports
 // whether it filled sums; false means the caller must run the dense
 // rows (unbounded metric or tiny envelope).
-func pairwiseBoundsPruned(ctx context.Context, objs []geodata.Object, envelopePos []int, m sim.Metric, kern sim.Kernel, pool *parallel.Pool, sums []float64) (bool, error) {
-	if len(envelopePos) < pruneCutoff {
+func pairwiseBoundsPruned(ctx context.Context, env []geodata.Object, m sim.Metric, kern sim.Kernel, pool *parallel.Pool, sums []float64) (bool, error) {
+	if len(env) < pruneCutoff {
 		return false, nil
 	}
 	r, exact, ok := sim.SupportRadius(m, 0)
 	if !ok || !exact {
 		return false, nil
 	}
-	bounds := geo.Rect{Min: objs[envelopePos[0]].Loc, Max: objs[envelopePos[0]].Loc}
-	for _, p := range envelopePos[1:] {
-		bounds = bounds.Union(geo.Rect{Min: objs[p].Loc, Max: objs[p].Loc})
+	bounds := geo.Rect{Min: env[0].Loc, Max: env[0].Loc}
+	for i := 1; i < len(env); i++ {
+		bounds = bounds.Union(geo.Rect{Min: env[i].Loc, Max: env[i].Loc})
 	}
 	if r >= bounds.Min.Dist(bounds.Max) {
 		return false, nil // the radius spans the envelope: nothing to prune
@@ -110,19 +115,17 @@ func pairwiseBoundsPruned(ctx context.Context, objs []geodata.Object, envelopePo
 	if err != nil {
 		return false, nil
 	}
-	// Keyed by index into envelopePos, so rows can be replayed in the
-	// dense iteration order.
-	for k, p := range envelopePos {
-		g.Insert(k, objs[p].Loc)
+	// Keyed by envelope index, so rows can be replayed in the dense
+	// iteration order.
+	for k := range env {
+		g.Insert(k, env[k].Loc)
 	}
-	runErr := pool.Run(ctx, len(envelopePos), func(i int) { //geolint:hotpath
-		p := envelopePos[i]
-		ks := g.Neighbors(objs[p].Loc, r)
+	runErr := pool.Run(ctx, len(env), func(i int) { //geolint:hotpath
+		ks := g.Neighbors(env[i].Loc, r)
 		sort.Ints(ks)
 		var sum float64
 		for _, k := range ks {
-			q := envelopePos[k]
-			sum += objs[q].Weight * kern(p, q)
+			sum += env[k].Weight * kern(i, k)
 		}
 		sums[i] = sum
 	})
@@ -137,10 +140,10 @@ func pairwiseBoundsPruned(ctx context.Context, objs []geodata.Object, envelopePo
 // metric maps into [0, 1] and weights are non-negative) and at least the
 // object's own weighted self-similarity term, which every envelope sum
 // contains because the object belongs to its own envelope.
-func assertEnvelopeBounds(objs []geodata.Object, envelopePos []int, m sim.Metric, sums []float64, what string) {
-	for i, p := range envelopePos {
-		o := &objs[p]
-		invariant.Assertf(sums[i] >= 0, "%s: negative bound %v for position %d", what, sums[i], p)
+func assertEnvelopeBounds(env []geodata.Object, m sim.Metric, sums []float64, what string) {
+	for i := range env {
+		o := &env[i]
+		invariant.Assertf(sums[i] >= 0, "%s: negative bound %v for envelope object %d", what, sums[i], i)
 		invariant.UpperBound(o.Weight*m.Sim(o, o), sums[i], what+" (self term)")
 	}
 }
@@ -173,8 +176,8 @@ func ZoomOutBounds(ctx context.Context, view geodata.View, vp geo.Viewport, maxS
 func PanBounds(ctx context.Context, view geodata.View, vp geo.Viewport, m sim.Metric, workers int) (map[int]float64, error) {
 	env := vp.PanEnvelope()
 	envPos := view.Region(env)
-	col := view.Collection()
-	objs := col.Objects
+	envObjs := view.Collection().Subset(envPos)
+	local := newEnvIndex(envPos)
 	w := vp.Region.Width()
 	h := vp.Region.Height()
 	// An exact support radius shrinks each per-object window: objects
@@ -191,13 +194,12 @@ func PanBounds(ctx context.Context, view geodata.View, vp geo.Viewport, m sim.Me
 			rh = r
 		}
 	}
-	sums := make([]float64, len(envPos))
-	kern, _ := sim.CompileKernel(m, objs)
+	sums := make([]float64, len(envObjs))
+	kern, _ := sim.CompileKernel(m, envObjs)
 	pool := parallel.New(workers)
 	defer pool.Close()
-	err := pool.Run(ctx, len(envPos), func(i int) { //geolint:hotpath
-		p := envPos[i]
-		o := &objs[p]
+	err := pool.Run(ctx, len(envObjs), func(i int) { //geolint:hotpath
+		o := &envObjs[i]
 		ro := geo.Rect{
 			Min: geo.Point{X: o.Loc.X - rw, Y: o.Loc.Y - rh},
 			Max: geo.Point{X: o.Loc.X + rw, Y: o.Loc.Y + rh},
@@ -207,9 +209,13 @@ func PanBounds(ctx context.Context, view geodata.View, vp geo.Viewport, m sim.Me
 			sums[i] = 0
 			return
 		}
+		// The window lies inside the envelope, so every hit is an
+		// envelope object; summing in hit order keeps the terms and
+		// their order of the whole-collection formulation.
 		var sum float64
 		for _, q := range view.Region(window) {
-			sum += objs[q].Weight * kern(p, q)
+			j := local.of(q)
+			sum += envObjs[j].Weight * kern(i, j)
 		}
 		sums[i] = sum
 	})
@@ -217,11 +223,42 @@ func PanBounds(ctx context.Context, view geodata.View, vp geo.Viewport, m sim.Me
 		return nil, err
 	}
 	if invariant.Enabled {
-		assertEnvelopeBounds(objs, envPos, m, sums, "prefetch: pan envelope bound")
+		assertEnvelopeBounds(envObjs, m, sums, "prefetch: pan envelope bound")
 	}
 	out := make(map[int]float64, len(envPos))
 	for i, p := range envPos {
 		out[p] = sums[i]
 	}
 	return out, nil
+}
+
+// envIndex maps the collection positions of an envelope to envelope
+// indices by binary search over the sorted positions: O(|envelope|)
+// memory, where a position-indexed table would cost O(N).
+type envIndex struct {
+	sorted []int // envelope positions, ascending
+	local  []int // local[k] is the envelope index of sorted[k]
+}
+
+func newEnvIndex(envPos []int) envIndex {
+	local := make([]int, len(envPos))
+	for i := range local {
+		local[i] = i
+	}
+	sort.Slice(local, func(a, b int) bool { return envPos[local[a]] < envPos[local[b]] })
+	sorted := make([]int, len(envPos))
+	for k, i := range local {
+		sorted[k] = envPos[i]
+	}
+	return envIndex{sorted: sorted, local: local}
+}
+
+// of returns the envelope index of collection position p, which must
+// belong to the envelope.
+func (x envIndex) of(p int) int {
+	k := sort.SearchInts(x.sorted, p)
+	if invariant.Enabled {
+		invariant.Assertf(k < len(x.sorted) && x.sorted[k] == p, "prefetch: position %d outside the envelope", p)
+	}
+	return x.local[k]
 }

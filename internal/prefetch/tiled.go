@@ -51,11 +51,13 @@ func NewTiled(ctx context.Context, col *geodata.Collection, envelopePos []int, e
 		tileH: env.Height() / float64(tilesPerSide),
 		pos:   append([]int(nil), envelopePos...),
 	}
-	objs := col.Objects
+	// Envelope-local objects keep the pass O(|envelope|) in memory
+	// whatever the collection size (see PairwiseBounds).
+	envObjs := col.Subset(envelopePos)
 	// Precompute each envelope object's tile once.
-	tileOf := make([]int, len(envelopePos))
-	for j, q := range envelopePos {
-		tileOf[j] = t.tileIndex(objs[q].Loc)
+	tileOf := make([]int, len(envObjs))
+	for j := range envObjs {
+		tileOf[j] = t.tileIndex(envObjs[j].Loc)
 	}
 	// One flat arena holds every row: rows are written disjointly by
 	// task index, and the tasks allocate nothing.
@@ -67,14 +69,13 @@ func NewTiled(ctx context.Context, col *geodata.Collection, envelopePos []int, e
 	}
 	// The compiled kernel is bitwise-identical to m.Sim on the same
 	// indices and skips the per-pair interface dispatch.
-	kern, _ := sim.CompileKernel(m, objs)
+	kern, _ := sim.CompileKernel(m, envObjs)
 	pool := parallel.New(workers)
 	defer pool.Close()
-	err := pool.Run(ctx, len(envelopePos), func(i int) { //geolint:hotpath
+	err := pool.Run(ctx, len(envObjs), func(i int) { //geolint:hotpath
 		row := t.contrib[i]
-		p := envelopePos[i]
-		for j, q := range envelopePos {
-			row[tileOf[j]] += objs[q].Weight * kern(p, q)
+		for j := range envObjs {
+			row[tileOf[j]] += envObjs[j].Weight * kern(i, j)
 		}
 	})
 	if err != nil {

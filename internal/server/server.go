@@ -18,6 +18,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -140,18 +141,36 @@ func (s *Server) requestContext(r *http.Request) (context.Context, context.Cance
 	return context.WithCancel(r.Context())
 }
 
-// ctxStatus maps a selection error to an HTTP status: 504 for a
-// server-imposed deadline, 499-style 503 for a cancelled client, 400
-// for everything else (invalid configurations).
-func ctxStatus(err error) int {
+// errStatus maps an error from a selection, prefetch or ingest call to
+// an HTTP status: 504 for a server-imposed deadline, 499-style 503 for a
+// cancelled client, 400 for a navigation the session's state rejects
+// (isos.ErrInvalidNavigation), and 500 for anything else. Handlers
+// validate every request field before calling in, so any other error
+// is the server's own failure, not the client's.
+func errStatus(err error) int {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):
 		return http.StatusServiceUnavailable
-	default:
+	case errors.Is(err, isos.ErrInvalidNavigation):
 		return http.StatusBadRequest
+	default:
+		return http.StatusInternalServerError
 	}
+}
+
+// validRegion reports whether r is a usable map region: ordered corners
+// and a finite, positive extent on both axes.
+func validRegion(r geo.Rect) bool {
+	w, h := r.Width(), r.Height()
+	return r.Valid() && w > 0 && h > 0 && !math.IsInf(w, 0) && !math.IsInf(h, 0)
+}
+
+// validTheta reports whether a visibility threshold (or threshold
+// fraction) is finite and non-negative.
+func validTheta(v float64) bool {
+	return v >= 0 && !math.IsInf(v, 0)
 }
 
 // Handler returns the HTTP routes.
@@ -241,7 +260,10 @@ type selectRequest struct {
 	Region    rectJSON `json:"region"`
 	K         int      `json:"k"`
 	ThetaFrac float64  `json:"thetaFrac"`
-	Sample    bool     `json:"sample"`
+	// Sample requests a SaSS-sampled selection. It is decoded so the
+	// request is rejected explicitly rather than silently answered
+	// exactly: sampling is not wired into the serving path yet.
+	Sample bool `json:"sample"`
 }
 
 func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
@@ -250,12 +272,20 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	region := req.Region.rect()
-	if !region.Valid() || region.Width() <= 0 || region.Height() <= 0 {
+	if !validRegion(region) {
 		writeError(w, http.StatusBadRequest, "invalid region")
 		return
 	}
 	if req.K <= 0 {
 		writeError(w, http.StatusBadRequest, "k must be positive")
+		return
+	}
+	if !validTheta(req.ThetaFrac) {
+		writeError(w, http.StatusBadRequest, "thetaFrac must be finite and non-negative")
+		return
+	}
+	if req.Sample {
+		writeError(w, http.StatusBadRequest, "sample: sampled selection is not wired into /select yet")
 		return
 	}
 	ctx, cancel := s.requestContext(r)
@@ -267,7 +297,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	if s.cache != nil {
 		res, err := s.cache.Select(ctx, view, version, region, req.K, req.ThetaFrac*region.Width(), nil)
 		if err != nil {
-			writeError(w, ctxStatus(err), err.Error())
+			writeError(w, errStatus(err), err.Error())
 			return
 		}
 		writeJSON(w, http.StatusOK, selectionJSON{
@@ -287,7 +317,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	sel := &core.Selector{Config: cfg, Objects: objs}
 	res, err := sel.Run(ctx)
 	if err != nil {
-		writeError(w, ctxStatus(err), err.Error())
+		writeError(w, errStatus(err), err.Error())
 		return
 	}
 	positions := make([]int, len(res.Selected))
@@ -415,6 +445,10 @@ func (s *Server) sessionOp(kind opKind) http.HandlerFunc {
 		if !decode(w, r, &req) {
 			return
 		}
+		if kind != opPan && !validRegion(req.Region.rect()) {
+			writeError(w, http.StatusBadRequest, "invalid region")
+			return
+		}
 		ctx, cancel := s.requestContext(r)
 		defer cancel()
 		var sel *isos.Selection
@@ -433,7 +467,7 @@ func (s *Server) sessionOp(kind opKind) http.HandlerFunc {
 		view, _ := ent.sess.View()
 		ent.mu.Unlock()
 		if err != nil {
-			writeError(w, ctxStatus(err), err.Error())
+			writeError(w, errStatus(err), err.Error())
 			return
 		}
 		writeJSON(w, http.StatusOK, selectionJSON{
@@ -483,7 +517,7 @@ func (s *Server) handlePrefetch(w http.ResponseWriter, r *http.Request) {
 	err := ent.sess.Prefetch(ctx, ops...)
 	ent.mu.Unlock()
 	if err != nil {
-		writeError(w, ctxStatus(err), err.Error())
+		writeError(w, errStatus(err), err.Error())
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"status": "prefetched"})
@@ -577,15 +611,18 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, fmt.Sprintf("mutation %d: %v", i, err))
 			return
 		}
-		muts = append(muts, livestore.Mutation{
-			Op: op, ID: m.ID, Loc: geo.Pt(m.X, m.Y), Weight: m.Weight, Text: m.Text,
-		})
+		mut := livestore.Mutation{Op: op, ID: m.ID, Loc: geo.Pt(m.X, m.Y), Weight: m.Weight, Text: m.Text}
+		if err := mut.Validate(); err != nil {
+			writeError(w, http.StatusBadRequest, fmt.Sprintf("mutation %d: %v", i, err))
+			return
+		}
+		muts = append(muts, mut)
 	}
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
 	version, out, err := live.Apply(ctx, muts)
 	if err != nil {
-		writeError(w, ctxStatus(err), err.Error())
+		writeError(w, errStatus(err), err.Error())
 		return
 	}
 	writeJSON(w, http.StatusOK, ingestResponse{
@@ -608,7 +645,7 @@ func (s *Server) handleDeleteObject(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	version, out, err := live.Apply(ctx, []livestore.Mutation{{Op: livestore.OpDelete, ID: id}})
 	if err != nil {
-		writeError(w, ctxStatus(err), err.Error())
+		writeError(w, errStatus(err), err.Error())
 		return
 	}
 	if out.Deleted == 0 {
@@ -667,12 +704,16 @@ func (s *Server) handleTile(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "tile coordinates must be integers")
 		return
 	}
+	if !tilecache.ValidTile(z, x, y) {
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("tile (%d, %d, %d) outside the tile pyramid", z, x, y))
+		return
+	}
 	q := r.URL.Query()
 	k := defaultTileK
 	if v := q.Get("k"); v != "" {
 		n, err := strconv.Atoi(v)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "k must be an integer")
+		if err != nil || n <= 0 {
+			writeError(w, http.StatusBadRequest, "k must be a positive integer")
 			return
 		}
 		k = n
@@ -681,8 +722,8 @@ func (s *Server) handleTile(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case q.Get("theta") != "":
 		t, err := strconv.ParseFloat(q.Get("theta"), 64)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "theta must be a number")
+		if err != nil || !validTheta(t) {
+			writeError(w, http.StatusBadRequest, "theta must be a finite non-negative number")
 			return
 		}
 		theta = t
@@ -690,8 +731,8 @@ func (s *Server) handleTile(w http.ResponseWriter, r *http.Request) {
 		frac := defaultTileThetaFrac
 		if v := q.Get("thetaFrac"); v != "" {
 			f, err := strconv.ParseFloat(v, 64)
-			if err != nil {
-				writeError(w, http.StatusBadRequest, "thetaFrac must be a number")
+			if err != nil || !validTheta(f) {
+				writeError(w, http.StatusBadRequest, "thetaFrac must be a finite non-negative number")
 				return
 			}
 			frac = f
@@ -703,7 +744,7 @@ func (s *Server) handleTile(w http.ResponseWriter, r *http.Request) {
 	view, version := s.src.Snapshot()
 	payload, etag, err := s.cache.TilePayload(ctx, view, version, z, x, y, theta, k, nil)
 	if err != nil {
-		writeError(w, ctxStatus(err), err.Error())
+		writeError(w, errStatus(err), err.Error())
 		return
 	}
 	w.Header().Set("ETag", etag)

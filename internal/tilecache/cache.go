@@ -2,6 +2,7 @@ package tilecache
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -53,10 +54,11 @@ type entry struct {
 }
 
 // flight coalesces concurrent computes of one key: latecomers wait for
-// the leader and then re-read the shard map.
+// the leader (or their own context) and then re-read the shard map.
 type flight struct {
-	wg  sync.WaitGroup
-	err error
+	// done is closed by the leader after its final write to err.
+	done chan struct{}
+	err  error
 }
 
 type shard struct {
@@ -181,6 +183,10 @@ func (c *Cache) sync(dv DirtyView, version uint64) {
 	c.watermark.Store(version)
 }
 
+func isContextErr(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
+
 func anyIntersects(rects []geo.Rect, r geo.Rect) bool {
 	for i := range rects {
 		if rects[i].Intersects(r) {
@@ -214,8 +220,11 @@ func (c *Cache) entryValid(e *entry, dv DirtyView, version uint64, sc *scratch) 
 // getTile returns the materialized selection for key at the serving
 // version, computing and caching it on a miss. hit reports whether the
 // entry came out of the cache. Concurrent misses of one key are
-// coalesced; a request pinned to an older version than a cached entry
-// computes uncached instead of thrashing the newer entry.
+// coalesced: a waiter gives up when its own context ends, and when the
+// leader was abandoned by the leader's context the waiter retries —
+// as the new leader — under its own. A request pinned to an older
+// version than a cached entry computes uncached instead of thrashing
+// the newer entry.
 func (c *Cache) getTile(ctx context.Context, view geodata.View, dv DirtyView, version uint64, key Key, sc *scratch) (e *entry, hit bool, err error) {
 	sh := &c.shards[key.hash()&(numShards-1)]
 	var lead *flight
@@ -241,18 +250,28 @@ func (c *Cache) getTile(ctx context.Context, view geodata.View, dv DirtyView, ve
 		}
 		f := sh.flights[key]
 		if f == nil {
-			lead = &flight{}
-			lead.wg.Add(1)
+			lead = &flight{done: make(chan struct{})}
 			sh.flights[key] = lead
 			sh.mu.Unlock()
 			break // this goroutine computes
 		}
 		sh.mu.Unlock()
-		f.wg.Wait()
-		if f.err != nil {
-			return nil, false, f.err
-		}
 		c.stats.coalesced.Add(1)
+		select {
+		case <-f.done:
+		case <-ctx.Done():
+			return nil, false, ctx.Err()
+		}
+		if f.err != nil {
+			if !isContextErr(f.err) {
+				return nil, false, f.err
+			}
+			// The leader's own context ended its compute; this request
+			// is still live, so the next pass takes over the fill.
+			if err := ctx.Err(); err != nil {
+				return nil, false, err
+			}
+		}
 		// Re-read through the map: the leader's insert is revalidated
 		// against this request's own version on the next pass.
 	}
@@ -265,7 +284,7 @@ func (c *Cache) getTile(ctx context.Context, view geodata.View, dv DirtyView, ve
 			// A sweep-surviving or competing entry; keep the newer one.
 			if old.born >= ent.born {
 				sh.mu.Unlock()
-				lead.wg.Done()
+				close(lead.done)
 				c.stats.tileMisses.Add(1)
 				return ent, false, nil
 			}
@@ -281,7 +300,7 @@ func (c *Cache) getTile(ctx context.Context, view geodata.View, dv DirtyView, ve
 	}
 	sh.mu.Unlock()
 	lead.err = err
-	lead.wg.Done()
+	close(lead.done)
 	if err != nil {
 		return nil, false, err
 	}

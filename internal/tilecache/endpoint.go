@@ -15,6 +15,16 @@ func DefaultTileTheta(z int32, thetaFrac float64) float64 {
 	return thetaFrac * 2 * Side(z)
 }
 
+// ValidTile reports whether (z, x, y) addresses a tile of the cache's
+// pyramid: zoom in [0, maxZoom] and x, y inside that zoom's grid.
+func ValidTile(z, x, y int) bool {
+	if z < 0 || z > maxZoom {
+		return false
+	}
+	n := 1 << uint(z)
+	return x >= 0 && x < n && y >= 0 && y < n
+}
+
 // TilePayload serves one materialized tile in the wire format (see
 // wire.go), appended to dst, together with its strong ETag. The ETag
 // is derived from the key plus the entry's compute version, which fully
@@ -24,12 +34,8 @@ func DefaultTileTheta(z int32, thetaFrac float64) float64 {
 // version must be the view's pinned snapshot version; the returned tile
 // is validated against it exactly like a stitched viewport's tiles.
 func (c *Cache) TilePayload(ctx context.Context, view geodata.View, version uint64, z, x, y int, theta float64, k int, dst []byte) ([]byte, string, error) {
-	if z < 0 || z > maxZoom {
-		return nil, "", fmt.Errorf("tilecache: zoom %d outside [0, %d]", z, maxZoom)
-	}
-	n := 1 << uint(z)
-	if x < 0 || x >= n || y < 0 || y >= n {
-		return nil, "", fmt.Errorf("tilecache: tile (%d, %d) outside the zoom-%d grid", x, y, z)
+	if !ValidTile(z, x, y) {
+		return nil, "", fmt.Errorf("tilecache: tile (%d, %d, %d) outside the zoom-[0, %d] pyramid", z, x, y, maxZoom)
 	}
 	if k <= 0 {
 		return nil, "", fmt.Errorf("tilecache: k = %d must be positive", k)

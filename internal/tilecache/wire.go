@@ -35,6 +35,10 @@ import (
 // layout change.
 const wireMagic = "GST1"
 
+// minMemberBytes is the smallest encoding of one member: one byte each
+// for the position and id varints, plus four float32 fields.
+const minMemberBytes = 1 + 1 + 4*4
+
 // TileData is the decoded form of one tile payload.
 type TileData struct {
 	Tile    Tile
@@ -104,9 +108,11 @@ func DecodeTile(data []byte) (*TileData, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	const maxMembers = 1 << 20 // far beyond any real K; bounds hostile input
-	if n > maxMembers {
-		return nil, fmt.Errorf("tilecache: tile payload claims %d members", n)
+	// Every member takes at least minMemberBytes, so a count the
+	// remaining bytes cannot hold is rejected before it sizes an
+	// allocation.
+	if n > uint64(len(r.buf)/minMemberBytes) {
+		return nil, fmt.Errorf("tilecache: tile payload claims %d members in %d bytes", n, len(r.buf))
 	}
 	d.Members = make([]TileMember, 0, n)
 	for i := uint64(0); i < n; i++ {
